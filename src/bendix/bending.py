@@ -203,11 +203,13 @@ class Interval:
         return {"lo": format_rational(self.lo), "hi": format_rational(self.hi)}
 
 
-def _chain_span(lam: LengthFunction, mask: int) -> tuple[Fraction, Fraction]:
-    """Reachable distances between the endpoints of an open chain of edges."""
-    total = lam.total(mask)
-    top = lam.lengths[lam.max_edge(mask)]
-    return max(Fraction(0), 2 * top - total), total
+def _chain_span(lam: LengthFunction, mask: int) -> tuple[int, int]:
+    """Reachable distances between the endpoints of an open chain of edges.
+
+    In units of ``1 / lam.scale``, like ``lam.weights``.
+    """
+    total, top = lam.scaled_total_top(mask)
+    return max(0, 2 * top - total), total
 
 
 def moment_image(lam: LengthFunction, mask: int) -> Interval:
@@ -224,7 +226,9 @@ def moment_image(lam: LengthFunction, mask: int) -> Interval:
         )
     lo_in, hi_in = _chain_span(lam, mask)
     lo_out, hi_out = _chain_span(lam, lam.full_mask ^ mask)
-    return Interval(max(lo_in, lo_out), min(hi_in, hi_out))
+    return Interval(
+        Fraction(max(lo_in, lo_out), lam.scale), Fraction(min(hi_in, hi_out), lam.scale)
+    )
 
 
 def _signed_values(lam: LengthFunction, mask: int) -> set[Fraction]:

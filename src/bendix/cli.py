@@ -12,7 +12,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from . import bending as B
@@ -66,7 +66,6 @@ class AnalysisRequest:
     update_golden: bool = False
     enum_guard: int = S.ENUMERATION_EDGE_GUARD
     generic_guard: int = GENERICITY_EDGE_GUARD
-    flags: dict = field(default_factory=dict)
 
 
 def _load_json_file(path: str) -> object:
@@ -123,6 +122,8 @@ def parse_request(argv: list[str]) -> AnalysisRequest:
     request = AnalysisRequest(command=args.command)
     request.fmt = args.format
     request.force = args.force
+    if args.limit is not None and args.limit < 0:
+        raise SchemaError("--limit must be a nonnegative integer", limit=args.limit)
     request.limit = args.limit
     env_guard = os.environ.get("BENDIX_MAX_EDGES")
     if env_guard is not None:
@@ -240,7 +241,7 @@ def _cmd_enumerate(req: AnalysisRequest) -> dict:
     }
 
 
-def _cmd_polytope(req: AnalysisRequest) -> dict:
+def _cmd_polytope(req: AnalysisRequest) -> dict | str:
     lam = _require(req.lam, "-f/--lambda")
     family = _require(req.bending, "-b/--bending")
     poly = P.moment_polytope(lam, family)

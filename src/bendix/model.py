@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Iterator
 
 from .errors import (
@@ -62,7 +63,9 @@ class LengthFunction:
     """Ordered edges with exact positive rational lengths.
 
     The edge order is canonical: bitmask encodings, deterministic tie-breaks
-    and JSON output all refer to it.
+    and JSON output all refer to it.  Lengths are ``Fraction``s at the API;
+    the predicates and searches run on the exact integer view ``weights``
+    (the lengths times ``scale``), computed once on first use.
     """
 
     ids: tuple[str, ...]
@@ -108,6 +111,32 @@ class LengthFunction:
             ]
         }
 
+    @cached_property
+    def scale(self) -> int:
+        """Least common multiple of the length denominators."""
+        return math.lcm(*(length.denominator for length in self.lengths))
+
+    @cached_property
+    def weights(self) -> tuple[int, ...]:
+        """The lengths times ``scale``, as exact integers."""
+        scale = self.scale
+        return tuple(
+            length.numerator * (scale // length.denominator) for length in self.lengths
+        )
+
+    def scaled_total_top(self, mask: int) -> tuple[int, int]:
+        """Sum and largest of the weights over a mask, found in one pass."""
+        weights = self.weights
+        total = top = 0
+        while mask:
+            low = mask & -mask
+            weight = weights[low.bit_length() - 1]
+            total += weight
+            if weight > top:
+                top = weight
+            mask ^= low
+        return total, top
+
     @property
     def n(self) -> int:
         return len(self.ids)
@@ -143,7 +172,7 @@ class LengthFunction:
     def total(self, mask: int | None = None) -> Fraction:
         if mask is None:
             mask = self.full_mask
-        return sum((self.lengths[i] for i in bits(mask)), Fraction(0))
+        return Fraction(self.scaled_total_top(mask)[0], self.scale)
 
     def max_edge(self, mask: int) -> int:
         """Index of the longest edge in the mask (ties broken by lowest index)."""
@@ -164,8 +193,8 @@ def subset_to_json(lam: LengthFunction, mask: int) -> list[str]:
 
 def is_nonempty(lam: LengthFunction) -> bool:
     """Whether a closed configuration exists: longest edge <= sum of the others."""
-    top = lam.lengths[lam.max_edge(lam.full_mask)]
-    return 2 * top <= lam.total()
+    total, top = lam.scaled_total_top(lam.full_mask)
+    return 2 * top <= total
 
 
 def generic_witness(
@@ -178,8 +207,8 @@ def generic_witness(
 
     Flipping the signs of exactly the edges in S gives a vanishing signed sum,
     so None means no sign assignment kills the total.  Lengths are scaled to
-    integers and the reachable-sum set is deduplicated, which keeps the search
-    pseudo-polynomial for the integral examples.
+    integers (``lam.weights``) and the reachable-sum set is deduplicated, which
+    keeps the search pseudo-polynomial for the integral examples.
     """
     if lam.n > max_edges and not force:
         raise GuardExceeded(
@@ -188,8 +217,7 @@ def generic_witness(
             edges=lam.n,
             guard=max_edges,
         )
-    scale = math.lcm(*(length.denominator for length in lam.lengths))
-    scaled = [int(length * scale) for length in lam.lengths]
+    scaled = lam.weights
     total = sum(scaled)
     if total % 2:
         return None
@@ -238,10 +266,8 @@ def pol_dimension(lam: LengthFunction) -> int:
 
 def is_lopsided(lam: LengthFunction, mask: int) -> bool:
     """One edge strictly outweighs the rest of the subset; empty set fails."""
-    if mask == 0:
-        return False
-    top = lam.lengths[lam.max_edge(mask)]
-    return 2 * top > lam.total(mask)
+    total, top = lam.scaled_total_top(mask)
+    return 2 * top > total
 
 
 def dominant_edge_index(lam: LengthFunction, mask: int) -> int:

@@ -42,6 +42,21 @@ def _submasks_containing(universe: int, anchor_bit: int) -> Iterator[int]:
         sub = (sub - 1) & rest
 
 
+def _subset_tables(lam: LengthFunction) -> tuple[list[int], list[int], bytearray]:
+    """Weight totals, largest weights and lopsided flags of all 2^n masks.
+
+    Built by doubling: the masks holding edge i as their highest edge are the
+    masks below ``1 << i`` plus edge i.  Totals and tops are in units of
+    ``1 / lam.scale`` and stay Python ints, so every scale is exact.
+    """
+    totals, tops = [0], [0]
+    for weight in lam.weights:
+        totals += [total + weight for total in totals]
+        tops += [top if top > weight else weight for top in tops]
+    lopsided = bytearray(2 * top > total for top, total in zip(tops, totals))
+    return totals, tops, lopsided
+
+
 def min_lopsided_partition(lam: LengthFunction) -> tuple[int, tuple[int, ...]]:
     """Minimum number of lopsided blocks partitioning the edges, with a witness.
 
@@ -50,6 +65,7 @@ def min_lopsided_partition(lam: LengthFunction) -> tuple[int, tuple[int, ...]]:
     the lexicographically smallest block mask.  A singleton partition always
     works, so the optimum is at most |E|.
     """
+    lopsided = _subset_tables(lam)[2]
     memo: dict[int, tuple[int, int]] = {0: (0, 0)}  # mask -> (count, chosen block)
 
     def best(remaining: int) -> int:
@@ -58,7 +74,7 @@ def min_lopsided_partition(lam: LengthFunction) -> tuple[int, tuple[int, ...]]:
         anchor = remaining & -remaining
         result = (lam.n + 1, 0)
         for block in _submasks_containing(remaining, anchor):
-            if not is_lopsided(lam, block):
+            if not lopsided[block]:
                 continue
             candidate = (1 + best(remaining ^ block), block)
             if candidate < result:
@@ -89,13 +105,11 @@ def min_coarser_partition(
         raise PreconditionViolated("blocks must cover every edge")
     ordered = sorted(blocks, key=canonical_member_key)
     k = len(ordered)
+    lopsided = _subset_tables(lam)[2]
+    union_of = [0]  # group mask over ``ordered`` -> union of its blocks
+    for block in ordered:
+        union_of += [union | block for union in union_of]
     memo: dict[int, tuple[int, int]] = {0: (0, 0)}
-
-    def union_of(group: int) -> int:
-        mask = 0
-        for i in bits(group):
-            mask |= ordered[i]
-        return mask
 
     def best(remaining: int) -> int:
         if remaining in memo:
@@ -103,7 +117,7 @@ def min_coarser_partition(
         anchor = remaining & -remaining
         result = (k + 1, 0)
         for group in _submasks_containing(remaining, anchor):
-            if not is_lopsided(lam, union_of(group)):
+            if not lopsided[union_of[group]]:
                 continue
             candidate = (1 + best(remaining ^ group), group)
             if candidate < result:
@@ -112,11 +126,13 @@ def min_coarser_partition(
         return result[0]
 
     count = best((1 << k) - 1)
+    if count > k:
+        raise PreconditionViolated("no partition into lopsided unions of the blocks")
     witness = []
     cursor = (1 << k) - 1
     while cursor:
         group = memo[cursor][1]
-        witness.append(union_of(group))
+        witness.append(union_of[group])
         cursor ^= group
     witness.sort(key=canonical_member_key)
     return count, tuple(witness)
@@ -216,25 +232,20 @@ class TorusReport:
         }
 
 
-def _lopsided_by_anchor(lam: LengthFunction) -> list[list[int]]:
+def _lopsided_by_anchor(lopsided: bytearray, n: int) -> list[list[int]]:
     """Lopsided masks grouped by their lowest edge, in ascending mask order."""
-    groups: list[list[int]] = [[] for _ in range(lam.n)]
-    totals = [Fraction(0)] * (1 << lam.n)
-    tops = [Fraction(0)] * (1 << lam.n)
-    for mask in range(1, 1 << lam.n):
-        low = mask & -mask
-        rest = mask ^ low
-        length = lam.lengths[low.bit_length() - 1]
-        totals[mask] = totals[rest] + length
-        tops[mask] = max(tops[rest], length)
-        if 2 * tops[mask] > totals[mask]:
-            groups[low.bit_length() - 1].append(mask)
-    return groups
+    size = 1 << n
+    return [
+        [mask for mask in range(1 << i, size, 2 << i) if lopsided[mask]]
+        for i in range(n)
+    ]
 
 
-def _lopsided_partitions(lam: LengthFunction) -> Iterator[tuple[int, ...]]:
+def _lopsided_partitions(
+    lam: LengthFunction, lopsided: bytearray
+) -> Iterator[tuple[int, ...]]:
     """All partitions of the edge set into lopsided blocks."""
-    groups = _lopsided_by_anchor(lam)
+    groups = _lopsided_by_anchor(lopsided, lam.n)
     acc: list[int] = []
 
     def walk(remaining: int) -> Iterator[tuple[int, ...]]:
@@ -253,7 +264,7 @@ def _lopsided_partitions(lam: LengthFunction) -> Iterator[tuple[int, ...]]:
 
 
 def _full_trees(
-    lam: LengthFunction, block: int, memo: dict[int, list[tuple[int, ...]]]
+    lopsided: bytearray, block: int, memo: dict[int, list[tuple[int, ...]]]
 ) -> list[tuple[int, ...]]:
     """All full binary laminar families on a lopsided block (block included).
 
@@ -269,9 +280,9 @@ def _full_trees(
     while True:
         half = sub | low
         other = block ^ half
-        if other and is_lopsided(lam, half) and is_lopsided(lam, other):
-            left = _full_trees(lam, half, memo) if half.bit_count() > 1 else [()]
-            right = _full_trees(lam, other, memo) if other.bit_count() > 1 else [()]
+        if other and lopsided[half] and lopsided[other]:
+            left = _full_trees(lopsided, half, memo) if half.bit_count() > 1 else [()]
+            right = _full_trees(lopsided, other, memo) if other.bit_count() > 1 else [()]
             for a in left:
                 for b in right:
                     results.append((block,) + a + b)
@@ -286,6 +297,31 @@ def _family_key(family: BendingSet) -> tuple:
     return tuple(sorted(canonical_member_key(m) for m in family.non_singletons()))
 
 
+def _common_value(
+    lam: LengthFunction, partition: tuple[int, ...], totals: list[int], tops: list[int]
+) -> Fraction | None:
+    """``common_point`` of the blocks' moment images, read off the subset tables.
+
+    A block's image is the intersection of the chain spans of the block and
+    its complement; an empty one is refused as ``moment_image`` refuses it.
+    """
+    full = lam.full_mask
+    lo, hi = 0, totals[full]
+    for block in partition:
+        comp = full ^ block
+        block_lo = max(0, 2 * tops[block] - totals[block], 2 * tops[comp] - totals[comp])
+        block_hi = min(totals[block], totals[comp])
+        if block_lo > block_hi:
+            raise PreconditionViolated(
+                "interval endpoints out of order",
+                lo=Fraction(block_lo, lam.scale),
+                hi=Fraction(block_hi, lam.scale),
+            )
+        lo = max(lo, block_lo)
+        hi = min(hi, block_hi)
+    return Fraction(lo, lam.scale) if lo <= hi else None
+
+
 def _maximal_full_families(
     lam: LengthFunction,
     *,
@@ -293,18 +329,19 @@ def _maximal_full_families(
 ) -> Iterator[tuple[BendingSet, tuple[int, ...], Fraction | None]]:
     """Full bending sets whose torus is maximal, as (family, blocks, witness)."""
     singletons = [1 << i for i in range(lam.n)]
+    totals, tops, lopsided = _subset_tables(lam)
     tree_memo: dict[int, list[tuple[int, ...]]] = {}
-    for partition in _lopsided_partitions(lam):
+    for partition in _lopsided_partitions(lam, lopsided):
         if max_blocks is not None and len(partition) > max_blocks:
             continue
         if len(partition) <= 3:
             witness = None  # top dimension, maximal outright
         else:
-            witness = common_point([moment_image(lam, b) for b in partition])
+            witness = _common_value(lam, partition, totals, tops)
             if witness is None:
                 continue
         per_block = [
-            _full_trees(lam, block, tree_memo)
+            _full_trees(lopsided, block, tree_memo)
             for block in partition
             if block.bit_count() > 1
         ]

@@ -1,8 +1,10 @@
 """Independent oracles and random generators for the test suite.
 
 Everything here is deliberately written from first principles (sign-pattern
-enumeration, explicit planar chains, full partition enumeration) so it can
-check the library without sharing its code paths.
+enumeration, explicit planar chains, full partition enumeration, ``Fraction``
+sums) so it can check the library without sharing its code paths.  The
+reference searches at the end keep the library's ``Fraction`` algorithms as
+they were before it moved to integer-scaled weights, for differential tests.
 """
 
 from __future__ import annotations
@@ -12,7 +14,15 @@ import random
 from fractions import Fraction
 from itertools import product
 
-from bendix.model import LengthFunction, bits, is_lopsided
+from bendix.model import LengthFunction, bits
+
+
+# --- lopsidedness, straight from the definition ----------------------------
+
+def oracle_lopsided(lam: LengthFunction, mask: int) -> bool:
+    """One edge strictly outweighs the rest: 2 * max > sum, in ``Fraction``s."""
+    side = [lam.lengths[i] for i in bits(mask)]
+    return bool(side) and 2 * max(side) > sum(side)
 
 
 # --- genericity, by exhausting every sign pattern -------------------------
@@ -97,7 +107,7 @@ def brute_min_lopsided(lam: LengthFunction) -> int:
     best = lam.n
     for part in set_partitions(list(range(lam.n))):
         blocks = [sum(1 << i for i in block) for block in part]
-        if all(is_lopsided(lam, b) for b in blocks):
+        if all(oracle_lopsided(lam, b) for b in blocks):
             best = min(best, len(blocks))
     return best
 
@@ -184,7 +194,7 @@ def random_lopsided_partition(rng: random.Random, lam: LengthFunction) -> list[i
         sub = rest
         while True:
             block = sub | anchor
-            if is_lopsided(lam, block):
+            if oracle_lopsided(lam, block):
                 candidates.append(block)
             if sub == 0:
                 break
@@ -204,7 +214,7 @@ def _random_full_tree(rng: random.Random, lam: LengthFunction, block: int) -> li
     while True:
         half = sub | low
         other = block ^ half
-        if other and is_lopsided(lam, half) and is_lopsided(lam, other):
+        if other and oracle_lopsided(lam, half) and oracle_lopsided(lam, other):
             splits.append((half, other))
         if sub == 0:
             break
@@ -233,7 +243,7 @@ def random_bending_set(rng: random.Random, lam: LengthFunction):
     members = {1 << i for i in range(lam.n)}
     for _ in range(rng.randint(0, 2 * lam.n)):
         mask = rng.randint(1, lam.full_mask)
-        if not is_lopsided(lam, mask):
+        if not oracle_lopsided(lam, mask):
             continue
         if all(
             not (mask & m) or (mask | m) in (mask, m) for m in members
@@ -254,3 +264,146 @@ def random_unimodular(rng: random.Random) -> tuple[tuple[int, int], tuple[int, i
         else:  # swap with a sign flip, stays determinant +-1
             mat = [[-mat[1][0], -mat[1][1]], mat[0]]
     return (tuple(mat[0]), tuple(mat[1]))
+
+
+# --- reference Fraction searches, for differential tests -----------------
+
+def _member_key(mask: int) -> tuple[int, int, tuple[int, ...]]:
+    """Lowest edge, then size, then index list (the library's member order)."""
+    low = (mask & -mask).bit_length() - 1
+    return (low, mask.bit_count(), tuple(bits(mask)))
+
+
+def _submasks_containing(universe: int, anchor_bit: int):
+    rest = universe & ~anchor_bit
+    sub = rest
+    while True:
+        yield sub | anchor_bit
+        if sub == 0:
+            return
+        sub = (sub - 1) & rest
+
+
+def _min_partition_dp(size: int, lopsided_group) -> tuple[int, dict]:
+    """Bitmask DP over ``size`` items: the fewest lopsided groups covering all.
+
+    Each step removes a lopsided group holding the lowest uncovered item; ties
+    prefer the smallest group mask.  Returns the count and the choice table.
+    """
+    memo: dict[int, tuple[int, int]] = {0: (0, 0)}
+
+    def best(remaining: int) -> int:
+        if remaining in memo:
+            return memo[remaining][0]
+        anchor = remaining & -remaining
+        result = (size + 1, 0)
+        for group in _submasks_containing(remaining, anchor):
+            if not lopsided_group(group):
+                continue
+            candidate = (1 + best(remaining ^ group), group)
+            if candidate < result:
+                result = candidate
+        memo[remaining] = result
+        return result[0]
+
+    return best((1 << size) - 1), memo
+
+
+def reference_min_lopsided_partition(lam: LengthFunction) -> tuple[int, tuple[int, ...]]:
+    count, memo = _min_partition_dp(lam.n, lambda block: oracle_lopsided(lam, block))
+    blocks, cursor = [], lam.full_mask
+    while cursor:
+        blocks.append(memo[cursor][1])
+        cursor ^= blocks[-1]
+    return count, tuple(blocks)
+
+
+def reference_min_coarser_partition(
+    lam: LengthFunction, blocks: list[int]
+) -> tuple[int, tuple[int, ...]] | None:
+    """None when no grouping of the blocks has only lopsided unions."""
+    ordered = sorted(blocks, key=_member_key)
+
+    def union_of(group: int) -> int:
+        mask = 0
+        for i in bits(group):
+            mask |= ordered[i]
+        return mask
+
+    count, memo = _min_partition_dp(
+        len(ordered), lambda group: oracle_lopsided(lam, union_of(group))
+    )
+    if count > len(ordered):
+        return None
+    witness, cursor = [], (1 << len(ordered)) - 1
+    while cursor:
+        group = memo[cursor][1]
+        witness.append(union_of(group))
+        cursor ^= group
+    witness.sort(key=_member_key)
+    return count, tuple(witness)
+
+
+def reference_moment_image(lam: LengthFunction, mask: int) -> tuple[Fraction, Fraction]:
+    """Both chains (the subset and its complement) must span the diagonal."""
+
+    def chain_span(side: list[Fraction]) -> tuple[Fraction, Fraction]:
+        total = sum(side, Fraction(0))
+        return max(Fraction(0), 2 * max(side) - total), total
+
+    lo_in, hi_in = chain_span([lam.lengths[i] for i in bits(mask)])
+    lo_out, hi_out = chain_span([lam.lengths[i] for i in bits(lam.full_mask ^ mask)])
+    return max(lo_in, lo_out), min(hi_in, hi_out)
+
+
+def _reference_trees(lam: LengthFunction, block: int) -> list[tuple[int, ...]]:
+    """Every full binary tree on a block whose splits have lopsided halves."""
+    if block.bit_count() == 1:
+        return [()]
+    low = block & -block
+    trees = []
+    for half in _submasks_containing(block, low):
+        other = block ^ half
+        if other and oracle_lopsided(lam, half) and oracle_lopsided(lam, other):
+            for a in _reference_trees(lam, half):
+                for b in _reference_trees(lam, other):
+                    trees.append((block,) + a + b)
+    return trees
+
+
+def reference_maximal_tori(
+    lam: LengthFunction,
+) -> list[tuple[int, tuple[int, ...], tuple[int, ...], Fraction | None]]:
+    """(dimension, members, maximal blocks, common value) of every maximal torus.
+
+    Sorted.  A partition into lopsided blocks gives maximal tori when it has at
+    most three blocks, or when the moment images of its blocks share a point
+    (the largest low end is returned as the common value).
+    """
+    found = []
+
+    def partitions(remaining: int, acc: list[int]):
+        if not remaining:
+            yield list(acc)
+            return
+        anchor = remaining & -remaining
+        for block in _submasks_containing(remaining, anchor):
+            if oracle_lopsided(lam, block):
+                acc.append(block)
+                yield from partitions(remaining ^ block, acc)
+                acc.pop()
+
+    for partition in partitions(lam.full_mask, []):
+        value = None
+        if len(partition) > 3:
+            images = [reference_moment_image(lam, b) for b in partition]
+            value = max(lo for lo, _ in images)
+            if value > min(hi for _, hi in images):
+                continue
+        singletons = tuple(1 << i for i in range(lam.n))
+        for combo in product(*(_reference_trees(lam, b) for b in partition)):
+            members = tuple(sorted(set(singletons).union(*combo)))
+            found.append(
+                (lam.n - max(3, len(partition)), members, tuple(sorted(partition)), value)
+            )
+    return sorted(found, key=lambda row: row[:3])

@@ -111,6 +111,25 @@ def test_enumerate_with_limit(capsys, pentagon_file):
     assert len(doc["reports"]) == 2
 
 
+def test_enumerate_rejects_negative_limit(capsys, pentagon_file):
+    code, out, err = run_cli(
+        capsys, ["enumerate", "-f", pentagon_file, "--limit", "-1"]
+    )
+    assert code == 2
+    assert out == ""
+    doc = json.loads(err)
+    assert doc["code"] == "schema"
+    assert doc["context"] == {"limit": -1}
+
+
+def test_enumerate_limit_zero_is_empty(capsys, pentagon_file):
+    code, out, _ = run_cli(
+        capsys, ["enumerate", "-f", pentagon_file, "--limit", "0"]
+    )
+    assert code == 0
+    assert json.loads(out)["reports"] == []
+
+
 def test_polytope_and_conjugacy(capsys, tmp_path):
     lam_path = tmp_path / "p1a444.json"
     lam_path.write_text(
